@@ -11,8 +11,9 @@
 //! Each cell runs the per-cycle reference plus fast-forward under every
 //! combination of `dirty_readiness` x `burst_events`, asserts that every
 //! run is bit-identical (the features are pure memoizations), asserts
-//! the busy-pair fast-forward speedup over the reference stays >= 1.3x,
-//! and reports the feature on/off wall-time deltas.
+//! the busy-pair fast-forward speedup over the reference stays >= 1.3x
+//! and the saturated-service one (burst events on) >= 1.0x, and reports
+//! the feature on/off wall-time deltas.
 //!
 //! Emits `BENCH_busytick.json` (working directory, or at
 //! `$BENCH_BUSYTICK_OUT`). Scale comes from the shared [`ScaleConfig`]
@@ -230,6 +231,17 @@ fn main() {
         busy_speedup >= 1.3,
         "busy-pair fast-forward speedup {busy_speedup:.2}x fell below the 1.3x bound"
     );
+    // Floor: at saturation, refused service retries wait for the next
+    // memory tick, so fast-forward must not lose to the reference.
+    let saturated = &rows[1];
+    for c in saturated.combos.iter().filter(|c| c.burst) {
+        assert!(
+            c.speedup_vs_reference >= 1.0,
+            "saturated-service fast-forward (dirty={}) ran {:.2}x of the reference, below the 1.0x floor",
+            c.dirty,
+            c.speedup_vs_reference
+        );
+    }
     for row in &rows {
         if row.feature_speedup < 1.0 {
             println!(

@@ -7,7 +7,7 @@ use strange_dram::{ConfigError, Geometry, TimingParams};
 use crate::faults::FaultPlan;
 use crate::health::WatchdogConfig;
 use crate::sched::{CoalesceWindow, FairnessPolicy};
-use crate::service::{QosClass, ServiceConfig};
+use crate::service::{ArrivalProcess, QosClass, ServiceConfig};
 
 /// Which baseline per-channel scheduling policy the controller uses for
 /// regular (non-RNG) requests.
@@ -395,14 +395,29 @@ impl SystemConfig {
         }
     }
 
-    /// Upper bound on CPU cycles for the run.
+    /// Upper bound on CPU cycles for the run: `max_cpu_cycles` when set,
+    /// otherwise a margin past the latest scheduled replay arrival (cycle
+    /// 0 without [`ArrivalProcess::TraceReplay`] clients).
     pub fn cycle_limit(&self) -> u64 {
         if self.max_cpu_cycles > 0 {
-            self.max_cpu_cycles
-        } else {
-            // Generous: a slowdown beyond ~300x would hit this.
-            self.instruction_target.saturating_mul(300).max(1_000_000)
+            return self.max_cpu_cycles;
         }
+        // Generous: a slowdown beyond ~300x would hit this.
+        let margin = self.instruction_target.saturating_mul(300).max(1_000_000);
+        let last_replay_arrival = self
+            .service
+            .clients
+            .iter()
+            .filter_map(|c| match &c.arrival {
+                ArrivalProcess::TraceReplay { schedule } => {
+                    let replayed = (c.requests as usize).min(schedule.len());
+                    schedule[..replayed].last().copied()
+                }
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        last_replay_arrival.saturating_add(margin)
     }
 
     /// Validates the configuration.
@@ -608,5 +623,30 @@ mod tests {
     fn cycle_limit_scales_with_target() {
         let cfg = SystemConfig::dr_strange(2).with_instruction_target(10_000_000);
         assert!(cfg.cycle_limit() >= 10_000_000);
+    }
+
+    #[test]
+    fn cycle_limit_covers_the_latest_replay_arrival() {
+        use crate::service::ClientSpec;
+        let base = SystemConfig::dr_strange(0);
+        let margin = base.cycle_limit();
+        let late = 5 * margin;
+        let cfg = base.clone().with_service(ServiceConfig {
+            clients: vec![
+                ClientSpec::trace_replay(8, vec![10, late]),
+                ClientSpec::trace_replay(8, vec![late / 2]),
+                ClientSpec::closed_loop(8, 100, 4),
+            ],
+            ..ServiceConfig::default()
+        });
+        assert_eq!(cfg.cycle_limit(), late + margin);
+        // Entries past the replayed request count are never scheduled.
+        let mut short = cfg.clone();
+        short.service.clients[0].requests = 1;
+        assert_eq!(short.cycle_limit(), late / 2 + margin);
+        // An explicit cap still wins.
+        let mut capped = cfg;
+        capped.max_cpu_cycles = 7;
+        assert_eq!(capped.cycle_limit(), 7);
     }
 }

@@ -534,6 +534,14 @@ impl MemSubsystem {
         (2 * self.demand_cost_est).max(1) * CPU_CYCLES_PER_MEM_CYCLE
     }
 
+    /// Whether an RNG admission was refused since the last memory tick
+    /// (or skip). Until the next `tick`/`skip_to` clears it, every
+    /// [`MemorySystem::try_rng`] is refused too, so a caller holding RNG
+    /// words can do nothing before the next memory tick.
+    pub(crate) fn rng_refusing(&self) -> bool {
+        self.rng_rejecting
+    }
+
     /// Applies every fault-plan event due at or before `now`, in plan
     /// order. Pending event cycles bound [`MemSubsystem::next_event_at`],
     /// so both simulation modes land a live tick on each event's exact

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use strange_cpu::MemorySystem;
-use strange_dram::RequestId;
+use strange_dram::{RequestId, CPU_CYCLES_PER_MEM_CYCLE};
 use strange_metrics::{percentile_sorted, Histogram};
 
 use crate::engine::MemSubsystem;
@@ -519,6 +519,10 @@ pub struct RngService {
     /// Scratch for the aging-policy per-tick re-sort (reused so a busy
     /// tick allocates nothing).
     aging_scratch: Vec<(Reverse<u64>, u64, usize)>,
+    /// Scratch for the deficit-round-robin candidates and their quanta
+    /// (reused like `aging_scratch`).
+    drr_active: Vec<usize>,
+    drr_quanta: Vec<u64>,
     /// Word-request id → (client index, request seq).
     word_map: HashMap<RequestId, (usize, u64)>,
     /// Served words of completed requests, in completion order (only
@@ -550,6 +554,8 @@ impl RngService {
             active_by_index: BTreeSet::new(),
             unmet: 0,
             aging_scratch: Vec::new(),
+            drr_active: Vec::new(),
+            drr_quanta: Vec::new(),
             word_map: HashMap::new(),
             captured: Vec::new(),
             completed_order: VecDeque::new(),
@@ -758,15 +764,49 @@ impl RngService {
     }
 
     /// The earliest CPU cycle at or after `now` at which the service could
-    /// do anything: `Some(now)` while any client holds unissued words
-    /// (issue retries run per-cycle under RNG-queue back-pressure),
-    /// otherwise the earliest scheduled arrival. `None` when fully
-    /// dormant — completions are bounded separately by the memory
-    /// subsystem's own next-event machinery.
+    /// do anything, assuming its issue path may be admitted: `Some(now)`
+    /// while any client holds unissued words, otherwise the earliest
+    /// scheduled arrival. `None` when fully dormant — completions are
+    /// bounded separately by the memory subsystem's own next-event
+    /// machinery. [`crate::System`] refines this with the engine's
+    /// memoized admission refusal (see `next_event_refused`).
     pub fn next_event_at(&self, now: u64) -> Option<u64> {
-        if !self.active.is_empty() {
+        self.next_event_refused(now, false)
+    }
+
+    /// [`RngService::next_event_at`] given `issue_refused`, the engine's
+    /// memoized RNG admission refusal ([`MemSubsystem::rng_refusing`]).
+    /// Held words are retried on every cycle, but a refused retry changes
+    /// nothing: the refusal holds until the next memory tick clears it,
+    /// Strict and Aging only read state, and a refused DRR pick is
+    /// refunded to a fixed point. So while the refusal stands and `now`
+    /// is not a memory-tick cycle, the next event is that tick (or an
+    /// earlier arrival); [`RngService::skip_blocked`] replays the
+    /// per-cycle blocked-issue count of the span.
+    pub(crate) fn next_event_refused(&self, now: u64, issue_refused: bool) -> Option<u64> {
+        if self.active.is_empty() {
+            return self.next_arrival(now);
+        }
+        if !issue_refused {
             return Some(now);
         }
+        // On a memory-tick cycle the tick is `now` itself.
+        let tick = now.next_multiple_of(CPU_CYCLES_PER_MEM_CYCLE);
+        Some(self.next_arrival(now).map_or(tick, |t| t.min(tick)))
+    }
+
+    /// Bulk-applies a skipped span of `cycles` CPU cycles. The blocked-
+    /// issue counter is the service's only per-cycle accounting, and a
+    /// span is skipped while words are held only when every cycle of it
+    /// retries into the engine's standing refusal.
+    pub(crate) fn skip_blocked(&mut self, cycles: u64) {
+        if !self.active.is_empty() {
+            self.stats.issue_blocked_cycles += cycles;
+        }
+    }
+
+    /// The earliest scheduled arrival, no earlier than `now`.
+    fn next_arrival(&self, now: u64) -> Option<u64> {
         // Every live `next_arrival` has a matching heap entry, so the
         // earliest non-stale top is the global minimum; stale duplicates
         // from rescheduling are pruned as they surface.
@@ -1006,15 +1046,15 @@ impl RngService {
     /// unissued (the memory subsystem rejecting one client's word means
     /// the global RNG queue is full, so no client could issue).
     fn issue_words_drr(&mut self, quantum: u32, mem: &mut MemSubsystem) -> bool {
-        // Scratch reused across the words issued this cycle, so the
-        // per-word DRR evaluation allocates nothing (amortized).
-        let mut active: Vec<usize> = Vec::new();
-        let mut quanta: Vec<u64> = Vec::new();
-        loop {
+        // Scratch reused across words and ticks, so the per-word DRR
+        // evaluation allocates nothing (amortized).
+        let mut active = std::mem::take(&mut self.drr_active);
+        let mut quanta = std::mem::take(&mut self.drr_quanta);
+        let blocked = loop {
             active.clear();
             active.extend(self.active_by_index.iter().copied());
             if active.is_empty() {
-                return false;
+                break false;
             }
             quanta.clear();
             quanta.extend(
@@ -1050,10 +1090,13 @@ impl RngService {
                     // (and the turn) back, or blocked cycles would burn
                     // this tenant's round on phantom picks.
                     self.drr.refund(ci, 1);
-                    return true;
+                    break true;
                 }
             }
-        }
+        };
+        self.drr_active = active;
+        self.drr_quanta = quanta;
+        blocked
     }
 
     /// Whether `core` addresses one of this service's virtual clients.

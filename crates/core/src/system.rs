@@ -243,10 +243,12 @@ impl System {
                 }
             }
         }
-        // Service-client arrivals are CPU-cycle events; a client holding
-        // unissued words (RNG-queue back-pressure) retries every cycle.
+        // Service-client arrivals are CPU-cycle events. A client holding
+        // unissued words retries on the next cycle, unless the engine
+        // already refused admission since the last memory tick: then the
+        // retries wait for the next memory tick.
         if let Some(svc) = &self.service {
-            match svc.next_event_at(now) {
+            match svc.next_event_refused(now, self.mem.rng_refusing()) {
                 Some(t) if t <= now => return now,
                 Some(t) => end = end.min(t),
                 None => {}
@@ -299,15 +301,16 @@ impl System {
     fn skip_to(&mut self, target: u64) {
         let now = self.cpu_cycle;
         debug_assert!(target > now);
-        // The service has no per-cycle accounting to replay; a dead span
-        // must simply not contain any of its events.
-        debug_assert!(
-            self.service
-                .as_ref()
-                .and_then(|s| s.next_event_at(now))
-                .is_none_or(|t| t >= target),
-            "skip_to past a service arrival"
-        );
+        // A dead span must not contain a service event; its only
+        // per-cycle accounting is the refused issue retries.
+        if let Some(svc) = &mut self.service {
+            debug_assert!(
+                svc.next_event_refused(now, self.mem.rng_refusing())
+                    .is_none_or(|t| t >= target),
+                "skip_to past a service event"
+            );
+            svc.skip_blocked(target - now);
+        }
         // Memory ticks that fall inside the skipped CPU span.
         let mem_lo = now.div_ceil(CPU_CYCLES_PER_MEM_CYCLE);
         let mem_hi = target.div_ceil(CPU_CYCLES_PER_MEM_CYCLE);

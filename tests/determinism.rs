@@ -5,6 +5,7 @@
 //! across every design point.
 
 use dr_strange::core::{RunResult, SchedulerKind, SimMode, System, SystemConfig};
+use dr_strange::cpu::TraceSource;
 use dr_strange::energy::{system_energy, Ddr3PowerParams};
 use dr_strange::trng::{DRange, QuacTrng};
 use dr_strange::workloads::{eval_pairs, Workload};
@@ -95,10 +96,21 @@ mod fastforward {
     /// was not vacuous (a fast path degenerating to per-cycle stepping
     /// would trivially match the reference).
     fn assert_modes_identical(cfg: SystemConfig, wl: &Workload, label: &str) -> f64 {
+        assert_modes_identical_with(cfg, || wl.traces(), label).0
+    }
+
+    /// [`assert_modes_identical`] with the trace cores built by `traces`
+    /// (an empty list for a coreless service system); also returns the
+    /// fast-forward result.
+    fn assert_modes_identical_with(
+        cfg: SystemConfig,
+        traces: impl Fn() -> Vec<Box<dyn TraceSource + Send>>,
+        label: &str,
+    ) -> (f64, RunResult) {
         let run = |mode: SimMode| {
             let cfg = cfg.clone().with_sim_mode(mode);
-            let mut sys = System::new(cfg, wl.traces(), Box::new(DRange::new(3)))
-                .expect("valid configuration");
+            let mut sys =
+                System::new(cfg, traces(), Box::new(DRange::new(3))).expect("valid configuration");
             sys.set_value_log(true);
             let res = sys.run();
             let values = sys.mem().value_log().to_vec();
@@ -131,7 +143,7 @@ mod fastforward {
             fast.service, reference.service,
             "{label}: service stats (incl. latency log)"
         );
-        fast_skipped as f64 / fast.cpu_cycles as f64
+        (fast_skipped as f64 / fast.cpu_cycles as f64, fast)
     }
 
     fn base(cfg: SystemConfig) -> SystemConfig {
@@ -408,6 +420,136 @@ mod fastforward {
                 .with_fairness(FairnessPolicy::weighted_fair())
                 .with_service(with_requests(contended_qos_service(64, 30), true));
             assert_modes_identical(cfg, wl, "svc-wfq");
+        }
+
+        /// A coreless system whose High closed-loop aggressors
+        /// (`contended_qos_service`) keep RNG admission refused, so many
+        /// cycles retry a refused issue. Those retries wait for the next
+        /// memory tick in fast-forward mode; the per-cycle reference must
+        /// agree on everything, blocked-issue cycles included, and the
+        /// wait must actually be skipped.
+        fn assert_saturated_coreless_identical(mut cfg: SystemConfig, label: &str) {
+            cfg.service.capture_values = true;
+            let (skipped, res) = assert_modes_identical_with(cfg, Vec::new, label);
+            assert!(
+                skipped > 0.5,
+                "{label}: skipped only {skipped:.3} of cycles"
+            );
+            assert!(!res.hit_cycle_limit, "{label}: targets must be met");
+            let svc = res.service.expect("service stats");
+            assert!(
+                svc.issue_blocked_cycles * 4 > res.cpu_cycles,
+                "{label}: the service must be saturated ({} of {} cycles blocked)",
+                svc.issue_blocked_cycles,
+                res.cpu_cycles
+            );
+        }
+
+        #[test]
+        fn saturated_coreless_service_is_bit_identical_across_policies() {
+            use dr_strange::core::FairnessPolicy;
+            use dr_strange::workloads::contended_qos_service;
+            for (fairness, label) in [
+                (FairnessPolicy::Strict, "saturated-strict"),
+                (FairnessPolicy::aging(), "saturated-aging"),
+                (FairnessPolicy::AdaptiveAging, "saturated-adaptive-aging"),
+                (FairnessPolicy::weighted_fair(), "saturated-wfq"),
+            ] {
+                let cfg = SystemConfig::dr_strange(0)
+                    .with_fairness(fairness)
+                    .with_service(contended_qos_service(64, 10));
+                assert_saturated_coreless_identical(cfg, label);
+            }
+        }
+
+        #[test]
+        fn saturated_coreless_service_under_oblivious_routing() {
+            // Service words share the four 32-entry read queues, which two
+            // aggressors cannot fill: four more make a full queue set the
+            // refusal the retries wait out.
+            use dr_strange::core::{ClientSpec, QosClass};
+            use dr_strange::workloads::contended_qos_service;
+            let mut service = contended_qos_service(64, 10);
+            service.clients.extend(
+                (0..4).map(|_| ClientSpec::closed_loop(256, 200, 40).with_qos(QosClass::High)),
+            );
+            let cfg = SystemConfig::rng_oblivious(0).with_service(service);
+            assert_saturated_coreless_identical(cfg, "saturated-oblivious");
+        }
+
+        #[test]
+        fn manual_submits_inside_a_refused_window_are_bit_identical() {
+            // The server front-end's path: manual sessions submit between
+            // `advance_until` calls. Each call stops two cycles into a
+            // memory-tick window, and the sessions keep the RNG queue
+            // overloaded, so most submits land while admission is refused
+            // and fast-forward is waiting for the next tick.
+            use dr_strange::core::{ClientSpec, FairnessPolicy, QosClass, ServiceConfig};
+            const SESSIONS: [(usize, QosClass); 4] = [
+                (256, QosClass::High),
+                (256, QosClass::High),
+                (64, QosClass::Normal),
+                (64, QosClass::Low),
+            ];
+            let run = |mode: SimMode| {
+                let cfg = SystemConfig::dr_strange(0)
+                    .with_fairness(FairnessPolicy::weighted_fair())
+                    .with_sim_mode(mode)
+                    .with_service(ServiceConfig {
+                        sessions: true,
+                        ..ServiceConfig::default()
+                    });
+                let mut sys = System::new(cfg, Vec::new(), Box::new(DRange::new(3)))
+                    .expect("valid configuration");
+                for (bytes, qos) in SESSIONS {
+                    sys.open_session(ClientSpec::manual(bytes).with_qos(qos));
+                }
+                let blocked =
+                    |sys: &System| sys.service().expect("service").stats().issue_blocked_cycles;
+                let mut served = Vec::new();
+                let mut refused_submits = 0;
+                for round in 0..120usize {
+                    // Stop two cycles past a memory tick; the last cycle
+                    // counted as blocked means the refusal still stands.
+                    let to_window = (5 - sys.cpu_cycles() % 5) % 5 + 2;
+                    sys.advance_until(to_window + 35 - 1, |_| false);
+                    let before = blocked(&sys);
+                    sys.advance_until(1, |_| false);
+                    assert_eq!(sys.cpu_cycles() % 5, 2);
+                    if blocked(&sys) > before {
+                        refused_submits += 1;
+                    }
+                    let session = round % SESSIONS.len();
+                    sys.service_submit(session, SESSIONS[session].0);
+                    served.extend(std::iter::from_fn(|| sys.take_service_completion()));
+                }
+                let offered = sys.service().expect("service").stats().requests_offered;
+                while (served.len() as u64) < offered {
+                    sys.advance_until(10_000, |s| s.service_completions_pending() > 0);
+                    served.extend(std::iter::from_fn(|| sys.take_service_completion()));
+                    assert!(sys.cpu_cycles() < 50_000_000, "requests must drain");
+                }
+                let stats = sys.service().expect("service").stats().clone();
+                (
+                    stats,
+                    served,
+                    sys.cpu_cycles(),
+                    refused_submits,
+                    sys.skipped_cycles(),
+                )
+            };
+            let (ref_stats, ref_served, ref_cycles, ref_refused, _) = run(SimMode::Reference);
+            let (ff_stats, ff_served, ff_cycles, ff_refused, ff_skipped) =
+                run(SimMode::FastForward);
+            assert!(
+                ref_refused > 60,
+                "only {ref_refused} of 120 submits hit a refusal"
+            );
+            assert_eq!(ff_refused, ref_refused);
+            assert!(ff_skipped > 0, "fast-forward must skip");
+            assert_eq!(ff_cycles, ref_cycles);
+            assert_eq!(ff_stats, ref_stats, "service stats");
+            assert_eq!(ff_served, ref_served, "served words in completion order");
         }
 
         #[test]
